@@ -1,26 +1,20 @@
 """WGB-style dynamic workload: PEval/IncEval vs per-window recompute.
 
-Two layers, matching how the subsystem is built:
-
-* **Kernel layer** — the vectorized incremental algorithms in
-  :mod:`repro.algorithms.incremental` (union-find WCC, warm-start PR)
-  must beat their recompute baselines on operation counts, exactly as
-  the seed asserted (``incremental_ops < 0.8 * recompute_ops``).
-* **Engine layer** — a grid over batch sizes runs every streaming
-  algorithm (PR, SSSP, WCC, LPA) through a warm
-  :class:`~repro.platforms.vertex_centric.streaming.StreamingSession`
-  (PEval on the bulk-load window, IncEval per update batch) against a
-  cold recompute of the *same* program per window, with per-window
-  result-parity checks (bit-exact for WCC/SSSP, certified tolerance for
-  delta PR, stability for LPA).  The headline batch size additionally
-  routes every window snapshot through
-  :func:`~repro.bench.pool.run_cases` as ordinary ``Dyn-`` catalog
-  cases, and runs crash-mid-stream legs where the faults subsystem
-  replays the update log from the last checkpoint and must recover
-  bit-identically.
+A grid over batch sizes runs every streaming algorithm (PR, SSSP, WCC,
+LPA) through a warm
+:class:`~repro.platforms.vertex_centric.streaming.StreamingSession`
+(PEval on the bulk-load window, IncEval per update batch) against a
+cold recompute of the *same* program per window, with per-window
+result-parity checks (bit-exact for WCC/SSSP, certified tolerance for
+delta PR, stability for LPA).  The headline batch size additionally
+routes every window snapshot through
+:func:`~repro.bench.pool.run_cases` as ordinary ``Dyn-`` catalog cases,
+and runs crash-mid-stream legs where the faults subsystem replays the
+update log from the last checkpoint and must recover bit-identically.
 
 Asserts: incremental ≥ 3x recompute on the headline PR and WCC legs,
-and bit-identical crash recovery.  Results land in
+fewer warm than cold supersteps on the headline PR leg, and
+bit-identical crash recovery.  Results land in
 ``benchmarks/out/BENCH_dynamic.json``.
 
 Runs two ways: under pytest (via the ``regen`` fixture) or as a script —
@@ -34,9 +28,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.algorithms.incremental import IncrementalPageRank, replay_stream_wcc
 from repro.bench.dynamic_exp import crash_replay_case, run_dynamic_case
-from repro.datagen.dynamic import generate_stream
 from repro.platforms.vertex_centric.streaming import STREAM_ALGORITHMS
 
 #: Edges per incremental window, largest first; the last entry is the
@@ -50,28 +42,6 @@ CRASH_WINDOW = 5
 #: The acceptance gate: warm IncEval must beat cold recompute by at
 #: least this factor on the headline PR and WCC legs.
 MIN_HEADLINE_SPEEDUP = 3.0
-
-
-def _kernel_report() -> dict:
-    """The seed's kernel-level comparison (vectorized this PR)."""
-    stream = generate_stream(2000, num_batches=10, seed=3)
-    wcc = replay_stream_wcc(stream)
-    warm = IncrementalPageRank(2000, tolerance=1e-10)
-    warm_total, cold_total = 0, 0
-    for t in range(len(stream)):
-        snapshot = stream.snapshot(t)
-        warm.update(snapshot)
-        if t > 0:
-            warm_total += warm.last_iterations
-            cold = IncrementalPageRank(2000, tolerance=1e-10)
-            cold.update(snapshot, cold_start=True)
-            cold_total += cold.last_iterations
-    return {
-        "wcc_incremental_ops": wcc["incremental_ops"],
-        "wcc_recompute_ops": wcc["recompute_ops"],
-        "pr_warm_iterations": warm_total,
-        "pr_cold_iterations": cold_total,
-    }
 
 
 def _engine_leg(algorithm: str, batch_edges: int) -> dict:
@@ -100,7 +70,7 @@ def _engine_leg(algorithm: str, batch_edges: int) -> dict:
 
 
 def run_dynamic_grid() -> dict:
-    """Run kernels, the engine grid, and the crash legs; persist JSON."""
+    """Run the engine grid and the crash legs; persist JSON."""
     start = time.perf_counter()
     grid = [
         _engine_leg(algorithm, batch_edges)
@@ -122,7 +92,6 @@ def run_dynamic_grid() -> dict:
         if leg["batch_edges"] == HEADLINE_BATCH
     }
     results = {
-        "kernel": _kernel_report(),
         "batch_grid": list(BATCH_GRID),
         "num_batches": NUM_BATCHES,
         "headline_batch_edges": HEADLINE_BATCH,
@@ -165,16 +134,22 @@ def _assert_headline(results: dict) -> None:
             f"{MIN_HEADLINE_SPEEDUP}x"
         )
     assert all(c["bit_identical"] for c in results["crash_replay"])
-    kernel = results["kernel"]
-    assert kernel["wcc_incremental_ops"] < 0.8 * kernel["wcc_recompute_ops"]
-    assert kernel["pr_warm_iterations"] < kernel["pr_cold_iterations"]
+    (pr,) = [
+        leg for leg in results["grid"]
+        if leg["algorithm"] == "pr" and leg["batch_edges"] == HEADLINE_BATCH
+    ]
+    inceval = [w for w in pr["windows"] if w["mode"] == "inceval"]
+    warm = sum(w["incremental_supersteps"] for w in inceval)
+    cold = sum(w["recompute_supersteps"] for w in inceval)
+    assert warm < cold, (
+        f"pr: warm start took {warm} supersteps, cold {cold}"
+    )
 
 
 def test_dynamic_workload(regen):
-    """Incremental maintenance must beat recomputation at both layers
-    (union-find/PR kernels on operation counts, PEval/IncEval engine
-    legs on priced seconds) with per-window result parity and
-    bit-identical crash recovery (validated inside run_dynamic_case and
+    """PEval/IncEval must beat recomputation on priced seconds (and on
+    supersteps for PR) with per-window result parity and bit-identical
+    crash recovery (validated inside run_dynamic_case and
     crash_replay_case)."""
     results = regen(run_dynamic_grid)
     _assert_headline(results)

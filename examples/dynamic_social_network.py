@@ -1,15 +1,18 @@
 """Dynamic social network: incremental analytics over an edge stream.
 
 Simulates a growing social network (FFT-DG edges arriving in batches,
-the WGB-style workload) and maintains connectivity and PageRank
-incrementally, comparing the work against per-batch recomputation.
+the WGB-style workload) and maintains connectivity and PageRank with
+PEval/IncEval streaming sessions, comparing the warm supersteps against
+a cold recompute of each window.
 
 Run with:  python examples/dynamic_social_network.py
 """
 
-from repro.algorithms.incremental import IncrementalPageRank, IncrementalWCC
+import numpy as np
+
 from repro.bench.reporting import render_table
 from repro.datagen.dynamic import generate_stream
+from repro.platforms.vertex_centric.streaming import StreamingSession
 
 
 def main() -> None:
@@ -17,29 +20,26 @@ def main() -> None:
     print(f"Edge stream: {stream.total_edges} edges over "
           f"{len(stream)} batches on {stream.num_vertices} users\n")
 
-    wcc = IncrementalWCC(stream.num_vertices)
-    ranks = IncrementalPageRank(stream.num_vertices, tolerance=1e-10)
+    wcc = StreamingSession(stream.num_vertices, "wcc")
+    pr = StreamingSession(stream.num_vertices, "pr")
     rows = []
     for t, batch in enumerate(stream):
-        merges = wcc.apply_batch(batch)
-        snapshot = stream.snapshot(t)
-        ranks.update(snapshot)
-        cold = IncrementalPageRank(stream.num_vertices, tolerance=1e-10)
-        cold.update(snapshot, cold_start=True)
-        rows.append([
-            t, batch.size, merges, wcc.num_components,
-            ranks.last_iterations, cold.last_iterations,
-        ])
+        wcc.process_window(batch)
+        warm = pr.process_window(batch)
+        cold, _ = pr.recompute_window(stream.snapshot(t))
+        rows.append([t, warm.new_edges, np.unique(wcc.values()).size,
+                     warm.supersteps, cold.supersteps])
     print(render_table(
-        "Per-batch incremental maintenance",
-        ["Batch", "Edges", "Merges", "Components",
-         "PR iters (warm)", "PR iters (cold)"],
+        "Per-window incremental maintenance",
+        ["Window", "Edges", "Components", "PR steps (warm)",
+         "PR steps (cold)"],
         rows,
     ))
 
-    top = ranks.ranks.argsort()[-3:][::-1]
+    ranks = pr.values()
+    top = ranks.argsort()[-3:][::-1]
     print("Most influential users at the end of the stream:",
-          ", ".join(f"#{v} ({ranks.ranks[v]:.2e})" for v in top))
+          ", ".join(f"#{v} ({ranks[v]:.2e})" for v in top))
 
 
 if __name__ == "__main__":

@@ -7,10 +7,6 @@ Per-platform implementations live with their engines under
 :mod:`repro.platforms`.
 """
 
-from repro.algorithms.incremental import (
-    IncrementalPageRank,
-    IncrementalWCC,
-)
 from repro.algorithms.registry import (
     ALGORITHMS,
     ITERATIVE,
@@ -23,8 +19,6 @@ from repro.algorithms.registry import (
 )
 
 __all__ = [
-    "IncrementalPageRank",
-    "IncrementalWCC",
     "ALGORITHMS",
     "ITERATIVE",
     "SEQUENTIAL",

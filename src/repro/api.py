@@ -1,9 +1,7 @@
 """`repro.api` — the stable, versioned programmatic entry point.
 
-Historically callers imported :func:`run_case` / :func:`run_cases` /
-:func:`run_grid` straight off :mod:`repro.bench` and passed loose
-keyword soups.  This facade wraps the same executors behind the
-versioned request/response dataclasses the benchmark service speaks
+This facade wraps the harness executors behind the versioned
+request/response dataclasses the benchmark service speaks
 (:mod:`repro.service.schema`), so in-process callers and TCP clients
 share one contract:
 
@@ -16,10 +14,7 @@ share one contract:
 * :func:`run_sync` — submit + gather one request in a single call.
 
 Outcomes are bit-identical to direct ``run_case`` executions — the
-facade adds batching and a schema, never semantics.  The legacy
-package-level entry points still work but now emit
-:class:`DeprecationWarning` (see the migration table in
-``docs/service.md``).
+facade adds batching and a schema, never semantics.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from repro.platforms.parallel.config import (
 
 __all__ = [
     "run_cases",
-    "run_grid",
     "set_default_jobs",
     "get_default_jobs",
     "WorkerReport",
@@ -306,27 +305,3 @@ def run_cases(
                 if tracer.enabled and (report.spans or report.counters):
                     _merge_report(tracer, spec, report)
     return [outcomes[spec] for spec in specs]
-
-
-def run_grid(
-    platforms,
-    algorithms,
-    datasets,
-    *,
-    jobs: int | None = None,
-    **case_kwargs,
-) -> list[CaseOutcome]:
-    """Convenience fan-out over a dataset × algorithm × platform product.
-
-    Iterates datasets outermost and platforms innermost — the exact
-    nesting order of the historical sequential loops in
-    :mod:`repro.bench.performance`, so outcome order is unchanged.
-    ``case_kwargs`` go to every :meth:`CaseSpec.make`.
-    """
-    specs = [
-        CaseSpec.make(platform, algorithm, dataset, **case_kwargs)
-        for dataset in datasets
-        for algorithm in algorithms
-        for platform in platforms
-    ]
-    return run_cases(specs, jobs=jobs)

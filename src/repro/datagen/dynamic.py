@@ -4,9 +4,8 @@ The paper's Table 1 credits WGB with a dynamic-graph generator for
 evaluating systems under evolving workloads.  This module provides that
 capability on top of FFT-DG: a deterministic stream of edge-insertion
 batches whose union is an FFT-DG graph, plus snapshot materialization —
-the substrate for the incremental-algorithm extension in
-:mod:`repro.algorithms.incremental` and the engine-level PEval/IncEval
-mode in :mod:`repro.platforms.vertex_centric.streaming`.
+the substrate for the engine-level PEval/IncEval mode in
+:mod:`repro.platforms.vertex_centric.streaming`.
 
 Snapshots are served through a :class:`~repro.core.delta.DeltaCSR`
 cursor: the stream keeps one running CSR and merges each batch into it

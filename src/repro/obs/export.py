@@ -13,7 +13,8 @@ can be exported to every format.
   time) go on thread 1 so the two timebases never share a track.
 * :func:`summary_tree` — an indented roll-up for terminals: sibling
   spans with the same name aggregate into one line with a count, total
-  wall milliseconds, and summed counter deltas.
+  wall milliseconds, and summed counter deltas; simulated spans are
+  totalled in seconds in a section of their own.
 """
 
 from __future__ import annotations
@@ -114,13 +115,20 @@ def chrome_trace_json(tracer: "Tracer") -> str:
 def summary_tree(tracer: "Tracer", *, max_depth: int | None = None) -> str:
     """Indented text roll-up of the span tree.
 
-    Sibling spans sharing a name collapse into one line:
+    Sibling wall-clock spans sharing a name collapse into one line:
     ``name  count×  total-ms  counter=value ...``.  Useful as a quick
-    where-did-the-time-go answer without leaving the terminal.
+    where-did-the-time-go answer without leaving the terminal.  Spans in
+    the ``"simulated"`` category hold cost-model seconds, not wall time,
+    so they stay out of the tree and are totalled by name, in seconds,
+    under a ``-- simulated seconds --`` section.
     """
     children: dict[int | None, list["Span"]] = {}
+    simulated: dict[str, list["Span"]] = {}
     for span in tracer.spans:
-        children.setdefault(span.parent, []).append(span)
+        if span.category == "simulated":
+            simulated.setdefault(span.name, []).append(span)
+        else:
+            children.setdefault(span.parent, []).append(span)
 
     lines: list[str] = []
 
@@ -147,6 +155,11 @@ def summary_tree(tracer: "Tracer", *, max_depth: int | None = None) -> str:
                 _walk(s.sid, depth + 1)
 
     _walk(None, 0)
+    if simulated:
+        lines.append("-- simulated seconds --")
+        for name, group in simulated.items():
+            total_s = sum(s.duration for s in group)
+            lines.append(f"{name}  {len(group)}x  {total_s:.3f}s")
     totals = tracer.counters.snapshot()
     if totals:
         lines.append("-- session counters --")

@@ -10,9 +10,7 @@ with silently-diverging defaults; now an unknown mode raises one clear
 :class:`~repro.errors.PlatformError` everywhere.
 
 The flat-CSR vectorization primitives (``expand_segments``,
-``forward_edge_arrays``, …) live in :mod:`repro.platforms.kernels`;
-they are re-exported here for backwards compatibility, but new code
-should import from the kernels module directly.
+``forward_edge_arrays``, …) live in :mod:`repro.platforms.kernels`.
 """
 
 from __future__ import annotations
@@ -23,21 +21,12 @@ from dataclasses import dataclass
 from repro.core.graph import Graph
 from repro.errors import PlatformError
 from repro.faults.schedule import EMPTY_SCHEDULE, FaultSchedule
-from repro.platforms.kernels import (  # noqa: F401  (re-exports)
-    expand_segments,
-    forward_adjacency,
-    forward_edge_arrays,
-    vertex_order_positions,
-)
+from repro.platforms.kernels import vertex_order_positions
 
 __all__ = [
     "EngineMode",
     "EngineOptions",
     "parse_engine_options",
-    "expand_segments",
-    "forward_adjacency",
-    "forward_edge_arrays",
-    "vertex_order_positions",
     "adjacency_shipping_bytes",
 ]
 

@@ -364,10 +364,9 @@ class EdgeCentricEngine:
     """Iterative GAS executor with vertex-cut metering.
 
     ``mode`` selects the execution path: ``"auto"`` (default) takes the
-    vectorized bulk path whenever the program implements it and the
-    profile's ``bulk_frontier`` flag allows, ``"bulk"`` forces it
-    (raising :class:`~repro.errors.PlatformError` for scalar-only
-    programs), and ``"scalar"`` forces the per-vertex path.
+    vectorized bulk path whenever the program implements it, ``"bulk"``
+    forces it (raising :class:`~repro.errors.PlatformError` for
+    scalar-only programs), and ``"scalar"`` forces the per-vertex path.
     """
 
     def __init__(
@@ -405,7 +404,7 @@ class EdgeCentricEngine:
                 )
             use_bulk = True
         else:
-            use_bulk = bulk_capable and self.profile.bulk_frontier
+            use_bulk = bulk_capable
         self.last_path = "bulk" if use_bulk else "scalar"
         shard_jobs = self._shard_jobs(program) if use_bulk else 1
         with get_tracer().span(

@@ -39,6 +39,7 @@ dynamic benchmark's crash leg).
 from __future__ import annotations
 
 import copy
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,21 @@ __all__ = [
     "StreamingSession",
     "WindowResult",
     "STREAM_ALGORITHMS",
+    "fingerprint",
 ]
+
+
+def fingerprint(values: np.ndarray) -> str:
+    """SHA-256 digest of a result array (dtype, shape, and raw bytes).
+
+    Equal fingerprints mean bit-identical results.
+    """
+    arr = np.ascontiguousarray(values)
+    digest = hashlib.sha256()
+    digest.update(str(arr.dtype).encode())
+    digest.update(str(arr.shape).encode())
+    digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 class DeltaPageRankProgram(PageRankProgram):
@@ -326,8 +341,6 @@ class StreamingSession:
 
     def result_fingerprint(self) -> str:
         """Content hash of the tracked result (bit-exact comparisons)."""
-        from repro.algorithms.incremental import fingerprint
-
         return fingerprint(self.values())
 
     # -- the PEval / IncEval loop --------------------------------------

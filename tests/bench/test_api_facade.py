@@ -1,12 +1,11 @@
-"""Tests for the repro.api facade, the deprecation shims, and the
-pool-fallback warning."""
+"""Tests for the repro.api facade, the warning-free submodule entry
+points, and the pool-fallback warning."""
 
 import warnings
 
 import pytest
 
 import repro.api as api
-import repro.bench
 from repro.bench.runner import clear_case_cache
 from repro.errors import SchemaError, ServiceError
 from repro.service.schema import SubmitRequest, outcome_fingerprint
@@ -83,28 +82,6 @@ class TestFacade:
 
 
 class TestDeprecationShims:
-    def test_run_case_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.run_sync"):
-            outcome = repro.bench.run_case(
-                "Flash", "pr", "S8-Std", scale_divisor=20000
-            )
-        assert outcome.status == "ok"
-
-    def test_run_cases_shim_warns_and_delegates(self):
-        from repro.bench.runner import CaseSpec
-
-        specs = [CaseSpec.make("Flash", "pr", "S8-Std", scale_divisor=20000)]
-        with pytest.warns(DeprecationWarning, match="submit/gather"):
-            outcomes = repro.bench.run_cases(specs, jobs=1)
-        assert outcomes[0].status == "ok"
-
-    def test_run_grid_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            outcomes = repro.bench.run_grid(
-                ["Flash"], ["pr"], ["S8-Std"], scale_divisor=20000
-            )
-        assert len(outcomes) == 1
-
     def test_submodule_entry_points_do_not_warn(self):
         from repro.bench.pool import run_cases
         from repro.bench.runner import CaseSpec, run_case

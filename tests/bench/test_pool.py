@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.bench import CaseSpec, clear_case_cache
-from repro.bench.pool import run_cases, run_grid
+from repro.bench.pool import run_cases
 from repro.bench.pool import get_default_jobs, set_default_jobs
 from repro.errors import ClusterConfigError
 from repro.faults import FaultSchedule, MachineCrash
@@ -108,9 +108,10 @@ class TestPoolDeterminism:
                               jobs=2)[:1]
         assert spec.run() is pooled  # memo hit, no re-execution
 
-    def test_run_grid_matches_explicit_spec_order(self):
+    def test_run_cases_keeps_grid_spec_order(self):
+        specs = [CaseSpec.make(p, "pr", "S8-Std") for p in ("Ligra", "Grape")]
         clear_case_cache()
-        grid = run_grid(("Ligra", "Grape"), ("pr",), ("S8-Std",), jobs=1)
+        grid = run_cases(specs, jobs=1)
         assert [o.platform for o in grid] == ["Ligra", "Grape"]
 
     def test_worker_spans_and_counters_merge_into_parent(self):

@@ -242,6 +242,19 @@ class TestExporters:
         assert f"{obs.COMPUTE_OPS}=4" in text
         assert "-- session counters --" in text
 
+    def test_summary_tree_keeps_simulated_seconds_off_the_wall_tree(self):
+        t = Tracer(clock=FakeClock(tick=0.5))
+        with t.span("case", category="case"):
+            t.record_span("upload", 11268.107, category="simulated")
+        text = obs.summary_tree(t)
+        wall, _, simulated = text.partition("-- simulated seconds --\n")
+        assert "upload" not in wall
+        (line,) = [
+            ln for ln in simulated.splitlines() if ln.startswith("upload")
+        ]
+        assert "ms" not in line
+        assert line.endswith("11268.107s")
+
     def test_summary_tree_max_depth(self):
         text = obs.summary_tree(_session(), max_depth=1)
         assert "case" in text

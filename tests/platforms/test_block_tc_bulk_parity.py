@@ -15,7 +15,7 @@ from repro import obs
 from repro.core import Graph, path_graph, random_graph, star_graph
 from repro.platforms import get_platform
 from repro.cluster import single_machine
-from repro.platforms.common import forward_adjacency, forward_edge_arrays
+from repro.platforms.kernels import forward_adjacency, forward_edge_arrays
 
 
 def _clustered_graph() -> Graph:

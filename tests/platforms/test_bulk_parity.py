@@ -8,8 +8,6 @@ paths for PR, LPA, SSSP, and WCC across platform personalities and
 datasets (including dangling/isolated vertices and weighted edges).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -149,11 +147,8 @@ class TestPathSelection:
         engine.run(TriangleCountProgram())
         assert engine.last_path == "scalar"
 
-    def test_profile_flag_pins_scalar(self):
-        profile = dataclasses.replace(
-            get_profile("Flash"), bulk_frontier=False
-        )
-        engine, _ = _engine(RANDOM, profile, "auto")
+    def test_scalar_mode_pins_capable_program_to_scalar(self):
+        engine, _ = _engine(RANDOM, get_profile("Flash"), "scalar")
         engine.run(PageRankProgram(iterations=2))
         assert engine.last_path == "scalar"
 

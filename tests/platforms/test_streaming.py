@@ -73,7 +73,7 @@ class TestWindowParity:
 
     def test_fingerprints_match_recompute_windows(self, stream):
         """Same program, cold vs warm: identical result fingerprints."""
-        from repro.algorithms.incremental import fingerprint
+        from repro.platforms.vertex_centric.streaming import fingerprint
 
         session = StreamingSession(N, "wcc")
         for t in range(min(3, len(stream))):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.incremental import IncrementalWCC
 from repro.algorithms.reference import wcc
 from repro.cluster import (
     CostParameters,
@@ -19,6 +18,7 @@ from repro.cluster import (
 )
 from repro.core import Graph, read_edge_list, write_edge_list
 from repro.datagen.dynamic import EdgeBatch
+from repro.platforms.vertex_centric.streaming import StreamingSession
 
 _settings = settings(
     max_examples=25,
@@ -114,12 +114,12 @@ class TestIncrementalProperties:
         rng = np.random.default_rng(seed)
         order = rng.permutation(src.shape[0])
         src, dst = src[order], dst[order]
-        tracker = IncrementalWCC(g.num_vertices)
+        session = StreamingSession(g.num_vertices, "wcc")
         bounds = np.linspace(0, src.shape[0], batches + 1).astype(int)
         for t in range(batches):
-            tracker.apply_batch(EdgeBatch(
+            session.process_window(EdgeBatch(
                 time=t,
                 src=src[bounds[t]: bounds[t + 1]],
                 dst=dst[bounds[t]: bounds[t + 1]],
             ))
-        assert np.array_equal(tracker.labels(), wcc(g))
+        assert np.array_equal(session.values(), wcc(g))

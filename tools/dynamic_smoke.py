@@ -8,6 +8,8 @@ path holds its contract:
 
 * every IncEval window prices cheaper than a cold recompute of the same
   program, and the summed speedup clears 3x;
+* PageRank's warm starts take fewer supersteps in total than its cold
+  recomputes over the same IncEval windows;
 * per-window result parity (bit-exact for WCC, certified tolerance for
   PR) — checked inside ``run_dynamic_case``, which raises on violation;
 * a crash mid-stream recovers bit-identically by replaying the update
@@ -50,6 +52,14 @@ def main() -> int:
                 f"{algorithm}: windows {slow} priced warm >= cold"
             )
 
+    inceval = [w for w in reports["pr"].windows if w.mode == "inceval"]
+    warm = sum(w.incremental_supersteps for w in inceval)
+    cold = sum(w.recompute_supersteps for w in inceval)
+    if warm >= cold:
+        failures.append(
+            f"pr: warm start took {warm} supersteps, cold {cold}"
+        )
+
     crash = crash_replay_case(
         "wcc", num_batches=NUM_BATCHES, crash_window=NUM_BATCHES - 1
     )
@@ -68,6 +78,7 @@ def main() -> int:
             f"{a} speedup {r.speedup:.1f}x ({r.windows[-1].parity})"
             for a, r in reports.items()
         )
+        + f"; pr supersteps warm {warm} < cold {cold}"
         + f"; crash @window {crash['crash_window']} replayed "
         f"{crash['replayed_windows']} window(s) bit-identically"
     )
